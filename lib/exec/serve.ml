@@ -142,27 +142,15 @@ let read_timeout_response ~read_deadline =
 (* --- request parameters ----------------------------------------------------- *)
 
 let limits_of_params st params =
-  let d = Limits.default in
-  let int_param key default =
-    Option.value (Jsonl.mem_int key params) ~default
-  in
   let deadline =
     match Jsonl.mem_num "timeout" params with
     | Some f -> Some f
     | None -> st.default_timeout
   in
   Limits.make
-    ~max_states:(int_param "max_states" d.Limits.max_states)
-    ~max_configs:(int_param "fuel" d.Limits.max_configs)
+    ?max_states:(Jsonl.mem_int "max_states" params)
+    ?max_configs:(Jsonl.mem_int "fuel" params)
     ?deadline ()
-
-let digests paths =
-  List.filter_map
-    (fun path ->
-      match Digest.file path with
-      | d -> Some (Digest.to_hex d)
-      | exception Sys_error _ -> None)
-    paths
 
 let files_of_params params = Jsonl.mem_str_list "files" params
 
@@ -185,16 +173,13 @@ let do_check st id params =
       let limits = limits_of_params st params in
       let verdicts =
         Checker.check_files ~limits ~warnings ~explain ~lint ~using ~pool:st.pool
-          ?cache:st.cache ~cache_extra:(digests using) files
+          ?cache:st.cache files
       in
-      let code = Checker.exit_code verdicts in
-      let buf = Buffer.create 256 in
-      List.iter
-        (fun (v : Checker.verdict) -> Buffer.add_string buf v.Checker.output)
-        verdicts;
-      (* Byte-identity with one-shot stdout includes the success line. *)
-      if code = 0 then Buffer.add_string buf "OK: specification verified\n";
-      ok_response id [ ("output", Jsonl.Str (Buffer.contents buf)); ("code", num_i code) ])
+      ok_response id
+        [
+          ("output", Jsonl.Str (Checker.check_output verdicts));
+          ("code", num_i (Checker.exit_code verdicts));
+        ])
 
 let do_lint st id params =
   match files_of_params params with
@@ -486,12 +471,6 @@ let handle_line st line =
 
 (* --- socket plumbing -------------------------------------------------------- *)
 
-let rec write_all fd bytes pos len =
-  if pos < len then
-    match Unix.write fd bytes pos (len - pos) with
-    | k -> write_all fd bytes (pos + k) len
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd bytes pos len
-
 type conn = {
   fd : Unix.file_descr;  (* nonblocking *)
   cid : int;  (* admission-control client identity *)
@@ -581,7 +560,8 @@ let probe_live_daemon socket =
           (try Unix.clear_nonblock fd with Unix.Unix_error _ -> ());
           let pid =
             let line = "{\"id\":0,\"method\":\"status\"}\n" in
-            match write_all fd (Bytes.of_string line) 0 (String.length line) with
+            let bytes = Bytes.of_string line in
+            match Supervisor.write_all fd bytes 0 (Bytes.length bytes) with
             | exception Unix.Unix_error _ -> None
             | () ->
               let deadline = Sysconf.monotonic_time () +. 2.0 in
@@ -1156,7 +1136,7 @@ let client_call ~socket line =
             (Printf.sprintf "cannot connect to %s: %s" socket (Unix.error_message e))
         | () -> (
           let payload = Bytes.of_string (line ^ "\n") in
-          match write_all fd payload 0 (Bytes.length payload) with
+          match Supervisor.write_all fd payload 0 (Bytes.length payload) with
           | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
           | () ->
             let buf = Buffer.create 1024 in

@@ -9,7 +9,20 @@ type 'r outcome =
       attempts : int;
     }
 
-let signal_name = Runner.signal_name
+let signal_name n =
+  if n = Sys.sigkill then "SIGKILL"
+  else if n = Sys.sigsegv then "SIGSEGV"
+  else if n = Sys.sigabrt then "SIGABRT"
+  else if n = Sys.sigbus then "SIGBUS"
+  else if n = Sys.sigill then "SIGILL"
+  else if n = Sys.sigfpe then "SIGFPE"
+  else if n = Sys.sigterm then "SIGTERM"
+  else if n = Sys.sigint then "SIGINT"
+  else if n = Sys.sigpipe then "SIGPIPE"
+  else if n = Sys.sigalrm then "SIGALRM"
+  else if n = Sys.sighup then "SIGHUP"
+  else if n = Sys.sigquit then "SIGQUIT"
+  else Printf.sprintf "signal %d" n
 
 type config = {
   jobs : int;
@@ -75,10 +88,12 @@ let fault_entries () =
                  ( String.sub entry 0 i,
                    String.sub entry (i + 1) (String.length entry - i - 1) ))
 
-let fault_matches kind label =
-  List.exists
-    (fun (k, sub) -> String.equal k kind && contains ~sub label)
+let faults_for label =
+  List.filter_map
+    (fun (k, sub) -> if contains ~sub label then Some k else None)
     (fault_entries ())
+
+let fault_matches kind label = List.mem kind (faults_for label)
 
 let fault_forkfail_budget () =
   List.fold_left
@@ -117,7 +132,8 @@ let rec write_all fd bytes pos len =
     | k -> write_all fd bytes (pos + k) len
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd bytes pos len
 
-let frame_bytes payload =
+let encode_frame v =
+  let payload = Marshal.to_bytes v [] in
   let len = Bytes.length payload in
   let b = Bytes.create (frame_header_len + len) in
   Bytes.blit_string frame_magic 0 b 0 3;
@@ -129,18 +145,27 @@ let frame_bytes payload =
   b
 
 let send_frame fd v =
-  let b = frame_bytes (Marshal.to_bytes v []) in
+  let b = encode_frame v in
   write_all fd b 0 (Bytes.length b)
 
-(* Parse every complete frame out of [buf]; [`Garbage] the moment the
-   stream stops looking like frames. The decoded values are returned along
-   with the number of consumed bytes so the caller can keep the tail. *)
-let parse_frames (buf : Buffer.t) : [ `Frames of 'a list * int | `Garbage ] =
+(* The one frame decoder, used by the worker on its job pipe and by the
+   parent on every result pipe. Every complete frame at the front of [buf]
+   is decoded and consumed; an incomplete tail stays buffered for the next
+   read. The flag is raised the moment the bytes stop looking like frames
+   (bad magic, insane length, undecodable payload): the frames before the
+   corrupt bytes are still returned, so the caller can settle them before
+   it condemns the writer. Each decision depends only on the bytes of its
+   own frame — a payload is unmarshaled from a copy of exactly its length —
+   so any split of a stream into reads decodes to the same frames and flag
+   as the whole stream. *)
+let decode_frames (buf : Buffer.t) : 'a list * bool =
   let s = Buffer.contents buf in
   let total = String.length s in
   let rec go acc off =
-    if total - off < frame_header_len then `Frames (List.rev acc, off)
-    else if String.sub s off 3 <> frame_magic then `Garbage
+    let avail = total - off in
+    let m = min avail 3 in
+    if String.sub s off m <> String.sub frame_magic 0 m then (acc, off, true)
+    else if avail < frame_header_len then (acc, off, false)
     else begin
       let len =
         (Char.code s.[off + 3] lsl 24)
@@ -148,59 +173,30 @@ let parse_frames (buf : Buffer.t) : [ `Frames of 'a list * int | `Garbage ] =
         lor (Char.code s.[off + 5] lsl 8)
         lor Char.code s.[off + 6]
       in
-      if len < 0 || len > max_frame_len then `Garbage
-      else if total - off - frame_header_len < len then `Frames (List.rev acc, off)
+      if len > max_frame_len then (acc, off, true)
+      else if avail - frame_header_len < len then (acc, off, false)
       else
-        match (Marshal.from_string s (off + frame_header_len) : 'a) with
+        match Marshal.from_string (String.sub s (off + frame_header_len) len) 0 with
         | v -> go (v :: acc) (off + frame_header_len + len)
-        | exception _ -> `Garbage
+        | exception _ -> (acc, off, true)
     end
   in
-  go [] 0
+  let frames, off, garbage = go [] 0 in
+  Buffer.clear buf;
+  if not garbage then Buffer.add_substring buf s off (total - off);
+  (List.rev frames, garbage)
 
 (* --- The worker process -----------------------------------------------------
 
-   A worker is a blocking read-dispatch loop: read a frame from the job
+   A worker is a blocking read-dispatch loop: read frames from the job
    pipe, acknowledge each task with [Started] (the parent's wedge detector
    and per-task deadline clock both key off it), run it, send [Result].
    EOF on the job pipe — however the parent died — is a clean exit, so a
    crashed daemon leaves no orphan workers behind. *)
 
-let rec read_exact fd b pos len =
-  if len = 0 then true
-  else
-    match Unix.read fd b pos len with
-    | 0 -> false
-    | k -> read_exact fd b (pos + k) (len - k)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_exact fd b pos len
-
-let read_frame fd : 'a option =
-  let header = Bytes.create frame_header_len in
-  if not (read_exact fd header 0 frame_header_len) then None
-  else if Bytes.sub_string header 0 3 <> frame_magic then None
-  else begin
-    let len =
-      (Char.code (Bytes.get header 3) lsl 24)
-      lor (Char.code (Bytes.get header 4) lsl 16)
-      lor (Char.code (Bytes.get header 5) lsl 8)
-      lor Char.code (Bytes.get header 6)
-    in
-    if len < 0 || len > max_frame_len then None
-    else begin
-      let payload = Bytes.create len in
-      if not (read_exact fd payload 0 len) then None
-      else
-        match (Marshal.from_bytes payload 0 : 'a) with
-        | v -> Some v
-        | exception _ -> None
-    end
-  end
-
 let send_result res_wr idx (res : ('r, string) result) =
-  match Marshal.to_bytes (Result (idx, res) : 'r from_worker) [] with
-  | payload ->
-    let b = frame_bytes payload in
-    write_all res_wr b 0 (Bytes.length b)
+  match encode_frame (Result (idx, res) : 'r from_worker) with
+  | b -> write_all res_wr b 0 (Bytes.length b)
   | exception exn ->
     let reason = "unmarshalable worker result: " ^ Printexc.to_string exn in
     send_frame res_wr (Result (idx, (Error reason : ('r, string) result)))
@@ -215,13 +211,10 @@ let worker_main ~job_rd ~res_wr run label =
   (try Sys.set_signal Sys.sigint Sys.Signal_ignore with _ -> ());
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ());
   let armed = !fault_injection in
-  let rec loop () =
-    match (read_frame job_rd : _ to_worker option) with
-    | None | Some Quit -> Unix._exit 0
-    | Some (Ping n) ->
-      send_frame res_wr (Pong n : _ from_worker);
-      loop ()
-    | Some (Job tasks) ->
+  let handle = function
+    | Quit -> Unix._exit 0
+    | Ping n -> send_frame res_wr (Pong n : _ from_worker)
+    | Job tasks ->
       let wedge = ref false in
       List.iter
         (fun (idx, task) ->
@@ -243,7 +236,19 @@ let worker_main ~job_rd ~res_wr run label =
            deaf to dispatches and heartbeats alike. *)
         while true do
           Unix.sleepf 3600.0
-        done;
+        done
+  in
+  let buf = Buffer.create 4096 in
+  let chunk = Bytes.create 65536 in
+  let rec loop () =
+    match Unix.read job_rd chunk 0 (Bytes.length chunk) with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
+    | 0 -> Unix._exit 0
+    | k ->
+      Buffer.add_subbytes buf chunk 0 k;
+      let frames, garbage = decode_frames buf in
+      List.iter handle (frames : _ to_worker list);
+      if garbage then Unix._exit 0;
       loop ()
   in
   try loop () with _ -> Unix._exit 1
@@ -252,7 +257,7 @@ let worker_main ~job_rd ~res_wr run label =
 
    Parent-side state: one slot per lane; a slot may hold a live worker
    process or be empty (backing off after a crash, or not yet demanded).
-   All scheduling state is per-[map_ex] call; slots and their workers
+   All scheduling state is per-[run] call; slots and their workers
    persist across calls — that is the whole point. *)
 
 type 't item = {
@@ -554,7 +559,7 @@ let backoff pool slot =
   bump "pool.backoff_waits" 1;
   bump "pool.backoff_us" (int_of_float (capped *. jitter *. 1e6))
 
-(* --- map_ex ----------------------------------------------------------------- *)
+(* --- run -------------------------------------------------------------------- *)
 
 type 'r settled = {
   outcome : 'r outcome;
@@ -635,8 +640,13 @@ let run ?retry ?deadline pool tasks =
       Queue.iter (fun item -> Queue.add item pending) p.assigned;
       Queue.clear p.assigned
     in
+    let restart slot =
+      backoff pool slot;
+      pool.st.m_restarts <- pool.st.m_restarts + 1;
+      bump "pool.restarts" 1
+    in
     (* Worker died (EOF / read error on its result pipe): reap, classify
-       from the exit status with the same reasons Runner reports, charge
+       from the exit status ("killed by SIGKILL", "exited with code N"), charge
        the started head, re-queue the rest. *)
     let handle_death slot (p : _ proc) =
       (try Unix.close p.job_wr with _ -> ());
@@ -656,9 +666,7 @@ let run ?retry ?deadline pool tasks =
       | Some head -> Queue.add head pending (* never started: not its fault *)
       | None -> ());
       requeue_assigned p;
-      backoff pool slot;
-      bump "pool.restarts" 1;
-      pool.st.m_restarts <- pool.st.m_restarts + 1
+      restart slot
     in
     (* Deliberate kill of a live-but-condemned worker (deadline expiry,
        wedge, garbage frame): process-group SIGKILL so task-spawned
@@ -689,6 +697,17 @@ let run ?retry ?deadline pool tasks =
       | None -> ());
       requeue_assigned p
     in
+    let condemn slot p ~charge =
+      kill_worker slot p ~charge;
+      restart slot
+    in
+    (* Accepted work or a ping but never answered: nothing ran, so nothing
+       is charged. *)
+    let wedged slot p =
+      pool.st.m_heartbeat_misses <- pool.st.m_heartbeat_misses + 1;
+      bump "pool.heartbeat_misses" 1;
+      condemn slot p ~charge:`No_charge
+    in
     (* One decoded frame from a live worker. *)
     let handle_frame slot (p : _ proc) (frame : _ from_worker) =
       p.last_heard <- Unix.gettimeofday ();
@@ -717,37 +736,30 @@ let run ?retry ?deadline pool tasks =
         | _ ->
           (* A result for a task this worker does not own: protocol
              corruption — condemn the worker, charge nothing blindly. *)
-          kill_worker slot p ~charge:(`Crash "out-of-order frame on result pipe");
-          backoff pool slot;
-          pool.st.m_restarts <- pool.st.m_restarts + 1;
-          bump "pool.restarts" 1)
+          condemn slot p ~charge:(`Crash "out-of-order frame on result pipe"))
     in
     let read_chunk = Bytes.create 65536 in
+    (* Frames that arrived ahead of corrupt bytes are handled first — a
+       [Result] settles its task, a [Started] moves the head — so the
+       condemnation charges the task that was running when the worker wrote
+       the garbage, not whichever task the coalesced read began with. *)
     let handle_readable slot (p : _ proc) =
       match Unix.read p.res_rd read_chunk 0 (Bytes.length read_chunk) with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
       | exception Unix.Unix_error _ -> handle_death slot p
       | 0 -> handle_death slot p
-      | k -> (
+      | k ->
         Buffer.add_subbytes p.rbuf read_chunk 0 k;
-        match parse_frames p.rbuf with
-        | `Garbage ->
-          kill_worker slot p ~charge:(`Crash "garbage frame on result pipe");
-          backoff pool slot;
-          pool.st.m_restarts <- pool.st.m_restarts + 1;
-          bump "pool.restarts" 1
-        | `Frames (frames, consumed) ->
-          let rest = Buffer.sub p.rbuf consumed (Buffer.length p.rbuf - consumed) in
-          Buffer.clear p.rbuf;
-          Buffer.add_string p.rbuf rest;
-          List.iter
-            (fun frame ->
-              (* The worker may have been condemned by an earlier frame in
-                 this very batch of frames. *)
-              match slot.proc with
-              | Some q when q == p -> handle_frame slot p frame
-              | _ -> ())
-            frames)
+        let frames, garbage = decode_frames p.rbuf in
+        (* The worker may be condemned by an earlier frame of the same read. *)
+        let live () =
+          match slot.proc with
+          | Some q -> q == p
+          | None -> false
+        in
+        List.iter (fun frame -> if live () then handle_frame slot p frame) frames;
+        if garbage && live () then
+          condemn slot p ~charge:(`Crash "garbage frame on result pipe")
     in
     (* Write a Job frame; a write failure means the worker just died — let
        the death path classify it (nothing was started, so nothing can be
@@ -880,26 +892,12 @@ let run ?retry ?deadline pool tasks =
                     | Some d when n1 -. p.head_started_at > d ->
                       kill_worker slot p ~charge:`Timeout
                     | _ -> ())
-                  else if n1 -. p.dispatched_at > pool.cfg.heartbeat_interval then begin
-                    (* Accepted a batch but never acknowledged starting it:
-                       wedged. Nothing ran, so nothing is charged. *)
-                    pool.st.m_heartbeat_misses <- pool.st.m_heartbeat_misses + 1;
-                    bump "pool.heartbeat_misses" 1;
-                    kill_worker slot p ~charge:`No_charge;
-                    backoff pool slot;
-                    pool.st.m_restarts <- pool.st.m_restarts + 1;
-                    bump "pool.restarts" 1
-                  end
+                  else if n1 -. p.dispatched_at > pool.cfg.heartbeat_interval then
+                    (* Accepted a batch but never acknowledged starting it. *)
+                    wedged slot p
                 end
                 else if p.ping_at > 0.0 then begin
-                  if n1 -. p.ping_at > pool.cfg.heartbeat_interval then begin
-                    pool.st.m_heartbeat_misses <- pool.st.m_heartbeat_misses + 1;
-                    bump "pool.heartbeat_misses" 1;
-                    kill_worker slot p ~charge:`No_charge;
-                    backoff pool slot;
-                    pool.st.m_restarts <- pool.st.m_restarts + 1;
-                    bump "pool.restarts" 1
-                  end
+                  if n1 -. p.ping_at > pool.cfg.heartbeat_interval then wedged slot p
                 end
                 else if n1 -. p.last_heard > pool.cfg.heartbeat_interval then begin
                   pool.ping_seq <- pool.ping_seq + 1;
@@ -940,9 +938,6 @@ let run ?retry ?deadline pool tasks =
              attempts = 0;
            })
   end
-
-let map_ex ?retry ?deadline pool tasks =
-  List.map (fun s -> (s.outcome, s.lane)) (run ?retry ?deadline pool tasks)
 
 let map ?retry ?deadline pool tasks =
   List.map (fun s -> s.outcome) (run ?retry ?deadline pool tasks)

@@ -1,20 +1,19 @@
 (** A supervised, persistent prefork worker pool.
 
-    Where {!Runner} forks one short-lived process per task (and pays ~ms of
-    fork + pipe setup for ~µs of work), a [Supervisor] pool forks its
-    workers {e once} and then streams tasks to them over pipes as
-    length-prefixed [Marshal] frames, batching several tasks per dispatch to
-    amortize the IPC round trip. The pool is built to stay up for days under
+    A [Supervisor] pool forks its workers {e once} (instead of paying ~ms
+    of fork + pipe setup per ~µs task) and then streams tasks to them over
+    pipes as length-prefixed [Marshal] frames, batching several tasks per
+    dispatch to amortize the IPC round trip. The pool is built to stay up for days under
     a long-running daemon ({!Serve}), so the supervision loop assumes
     everything fails eventually:
 
     - {b deadlines}: a task that outlives [config.deadline] is killed
-      externally (process-group SIGKILL, exactly like {!Runner}) and
-      reported [Timed_out]; the killed worker's remaining batch is re-queued
-      untouched.
+      externally (process-group SIGKILL, which also takes out any
+      subprocess the task spawned) and reported [Timed_out]; the killed
+      worker's remaining batch is re-queued untouched.
     - {b crashes}: a worker that dies mid-task charges only the task it was
-      running ([Crashed], with the same ["killed by SIGNAL"] reasons as
-      {!Runner.signal_name}); the rest of its batch is re-queued at the same
+      running ([Crashed], with a ["killed by SIGNAL"] reason from
+      {!signal_name}); the rest of its batch is re-queued at the same
       attempt number. The slot restarts under capped exponential backoff
       with jitter.
     - {b poisoned tasks}: a task whose retry also fails is final after 2
@@ -24,8 +23,10 @@
       answering pings) is declared wedged, its batch re-queued, the slot
       restarted.
     - {b protocol corruption}: a garbage frame on a result pipe (bad magic,
-      insane length, undecodable payload) condemns that worker alone; the
-      in-flight task is charged, everything else re-queued.
+      insane length, undecodable payload) condemns that worker alone. The
+      valid frames ahead of the corrupt bytes are handled first, so the
+      charge lands on the task that was running when the garbage was
+      written; everything else is re-queued.
     - {b recycling}: a worker is retired and respawned after
       [max_tasks_per_worker] tasks or when its RSS exceeds [max_rss_kb]
       (leak containment for day-long daemons).
@@ -110,7 +111,7 @@ type ('t, 'r) t
 (** A pool mapping marshal-safe tasks ['t] to marshal-safe results ['r].
     The worker function is fixed at {!create} (it crosses into the workers
     by fork inheritance, never by marshaling), so one pool serves any
-    number of {!map_ex} calls — the daemon keeps one pool across
+    number of {!run} calls — the daemon keeps one pool across
     requests. *)
 
 val create :
@@ -149,22 +150,17 @@ val run :
     applies per-request deadlines over one long-lived pool. Never raises;
     never loses or duplicates a task. *)
 
-val map_ex :
-  ?retry:('t -> 't) -> ?deadline:float -> ('t, 'r) t -> 't list -> ('r outcome * int) list
-(** {!run} projected to (outcome, lane) — the shape {!Runner.map_ex}
-    returns, for drop-in callers. *)
-
 val map : ?retry:('t -> 't) -> ?deadline:float -> ('t, 'r) t -> 't list -> 'r outcome list
 (** {!run} projected to outcomes alone. *)
 
 val quiesce : ('t, 'r) t -> unit
 (** Retire every live worker (Quit, grace, SIGKILL, reap) but keep the pool
-    usable: the next {!map_ex} respawns on demand. The daemon calls this
+    usable: the next {!run} respawns on demand. The daemon calls this
     after an idle period so a dormant service holds no processes. *)
 
 val shutdown : ('t, 'r) t -> unit
 (** {!quiesce} and mark the pool closed. Idempotent. A closed pool runs
-    subsequent {!map_ex} calls inline (degraded), so even a use-after-close
+    subsequent {!run} calls inline (degraded), so even a use-after-close
     bug cannot lose results. *)
 
 type stats = {
@@ -211,5 +207,36 @@ val fault_injection : bool ref
     the matching task, ignoring heartbeats), [forkfail:N] (the pool's next
     N fork attempts fail). Inert by default. *)
 
+val faults_for : string -> string list
+(** The kinds of the armed [SHELLEY_FAULT] entries whose substring occurs
+    in the given task label, in spec order; [[]] unless
+    {!fault_injection} is set. {!Checker.fault_hook} acts on these. *)
+
 val signal_name : int -> string
-(** Re-export of {!Runner.signal_name}: ["SIGKILL"], ["SIGSEGV"], …. *)
+(** Human-readable name for an OCaml [Sys] signal number (["SIGKILL"],
+    ["SIGSEGV"], …); ["signal <n>"] for unknown ones. *)
+
+(** {2 Framing}
+
+    The pipe protocol in both directions: 3-byte magic ["SF1"], 4-byte
+    big-endian payload length, [Marshal] payload. {!Serve} reuses
+    {!write_all} for its socket writes. *)
+
+val encode_frame : 'a -> bytes
+(** One complete frame carrying [Marshal.to_bytes v []]. Raises whatever
+    [Marshal] raises on a value it cannot marshal. *)
+
+val decode_frames : Buffer.t -> 'a list * bool
+(** Decode and consume every complete frame at the front of the buffer;
+    an incomplete trailing frame stays buffered for the next read. The
+    flag is [true] when the bytes after the returned frames are corrupt
+    (bad magic, a length above 64 MB, an undecodable payload): the stream
+    is dead, the buffer is emptied, and the caller should condemn its
+    writer {e after} handling the returned frames. Any split of a byte
+    stream into successive buffer appends decodes to the same frames and
+    flag as the whole stream. Unsafe like [Marshal]: the caller names the
+    frame type. *)
+
+val write_all : Unix.file_descr -> bytes -> int -> int -> unit
+(** [write_all fd b pos len] writes all [len] bytes, retrying short writes
+    and [EINTR]. Other [Unix_error]s propagate. *)

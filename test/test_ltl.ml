@@ -126,6 +126,17 @@ let limits = Limits.make ~max_states:budget ()
 
 let with_budget prop = try prop () with Limits.Budget_exceeded _ -> true
 
+(* Some obligation closures are infinite: the obligations of this formula
+   grow by a few nodes per step, forever. Under a state cap this loose only
+   the node bound stops the construction before it exhausts memory. *)
+let test_runaway_obligations_bounded () =
+  let f = Ltl_parser.parse "G (G true W G a.test)" in
+  match Progression.to_dfa ~limits:(Limits.make ~max_states:50_000 ()) ~alphabet f with
+  | _ -> Alcotest.fail "expected the obligation closure to exceed a budget"
+  | exception Limits.Budget_exceeded { resource; _ } ->
+    Alcotest.(check string) "bounded by total obligation size"
+      "progression obligation nodes" resource
+
 let test_progression_invariant () =
   (* e·rest ⊨ φ  iff  rest ⊨ progress(φ, e) *)
   let formulas =
@@ -504,6 +515,8 @@ let () =
           Alcotest.test_case "invariant on corpus" `Quick test_progression_invariant;
           Alcotest.test_case "DFA = semantics on corpus" `Quick test_dfa_agrees_with_semantics;
           Alcotest.test_case "state space" `Quick test_state_space_reasonable;
+          Alcotest.test_case "runaway obligations bounded" `Quick
+            test_runaway_obligations_bounded;
         ] );
       ( "check",
         [
