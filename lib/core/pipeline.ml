@@ -9,7 +9,9 @@ type result = {
    can never replay as current verdicts. *)
 (* 7: the concurrency extension — shuffled behaviors from async/create_task,
    interleaving-aware usage automata, SY112. *)
-let semantics_version = "7"
+(* 8: LTLf progression also caps the summed size of its obligations, so a
+   claim with a runaway obligation closure reports RESOURCE LIMIT EXCEEDED. *)
+let semantics_version = "8"
 
 let env_of result name =
   List.find_opt (fun (m : Model.t) -> String.equal m.Model.name name) result.models
