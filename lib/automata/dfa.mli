@@ -19,6 +19,17 @@ val create :
 (** Tabulates [next] over all states and alphabet symbols.
     Raises [Invalid_argument] if [next] leaves the state range. *)
 
+val of_edges :
+  alphabet:Symbol.t list ->
+  num_states:int ->
+  start:int ->
+  accept:int list ->
+  (int * Symbol.t * int) list ->
+  t
+(** {!create} from a transition list holding one [(src, sym, dst)] edge for
+    every state and alphabet symbol.
+    Raises [Invalid_argument] if an edge is missing. *)
+
 (** {1 Accessors} *)
 
 val alphabet : t -> Symbol.t list

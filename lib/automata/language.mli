@@ -2,9 +2,10 @@
 
     These are the checks the Shelley verifier actually issues: is every trace
     an implementation can produce allowed by a specification, and if not,
-    what is the shortest offending trace. Implemented by an on-the-fly
-    product of subset constructions — no full determinization when a
-    counterexample is close to the start state.
+    what is the shortest offending trace. Implemented as a breadth-first
+    search ({!Explore}) over pairs of ε-closed configurations, built only as
+    they are reached: nothing is determinized up front, so a counterexample
+    close to the start state costs a few configurations.
 
     Every comparison explores at most [limits.max_configs] product
     configurations (default {!Limits.default}) and raises

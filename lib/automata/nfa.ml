@@ -266,46 +266,20 @@ let trim nfa =
 
 (* --- Queries -------------------------------------------------------------- *)
 
-module Config_set = Set.Make (States.Set)
+module Configs = Explore.Make (States.Set)
 
-(* BFS over ε-closed configurations; visits each configuration once, so the
-   first accepting configuration found is reached by a shortest trace. *)
-let bfs_configs nfa ~visit =
-  let syms = Symbol.Set.elements (alphabet nfa) in
-  let seen = ref Config_set.empty in
-  let queue = Queue.create () in
-  let push config rev_path =
-    if not (Config_set.mem config !seen) then begin
-      seen := Config_set.add config !seen;
-      Queue.add (config, rev_path) queue
-    end
-  in
-  push (initial_config nfa) [];
-  let rec loop () =
-    match Queue.take_opt queue with
-    | None -> ()
-    | Some (config, rev_path) -> (
-      match visit config rev_path with
-      | `Stop -> ()
-      | `Continue ->
-        List.iter
-          (fun sym ->
-            let next = step nfa config sym in
-            if not (States.Set.is_empty next) then push next (sym :: rev_path))
-          syms;
-        loop ())
-  in
-  loop ()
-
+(* Breadth-first over ε-closed configurations: the first accepting
+   configuration expanded is reached by a shortest trace. *)
 let shortest_accepted nfa =
-  let found = ref None in
-  bfs_configs nfa ~visit:(fun config rev_path ->
-      if accepting_config nfa config then begin
-        found := Some (List.rev rev_path);
-        `Stop
-      end
-      else `Continue);
-  !found
+  let syms = Symbol.Set.elements (alphabet nfa) in
+  Configs.shortest ~goal:(accepting_config nfa) ~start:(initial_config nfa)
+    ~succ:(fun config emit ->
+      List.iter
+        (fun sym ->
+          let next = step nfa config sym in
+          if not (States.Set.is_empty next) then emit sym next)
+        syms)
+    ()
 
 let shortest_accepted_with_states nfa =
   match shortest_accepted nfa with

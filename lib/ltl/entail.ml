@@ -27,15 +27,13 @@ module Key = struct
     | n -> n
 end
 
-module Kset = Set.Make (Key)
+module Product = Explore.Make (Key)
 
 let full_alphabet alphabet impl formulas =
   List.fold_left
     (fun acc f -> Symbol.Set.union acc (Ltlf.atoms f))
     (Symbol.Set.union alphabet (Nfa.alphabet impl))
     formulas
-
-exception Found of Trace.t
 
 (* Shortest trace in L(impl) ∩ L(f₁) ∩ … ∩ L(fₖ), by BFS over the memoized
    on-the-fly product. Only states reachable under model-feasible traces are
@@ -75,48 +73,35 @@ let joint_witness ?(limits = Limits.default) ?fuel ?(alphabet = Symbol.Set.empty
   let dead (config, obligations) =
     States.Set.is_empty config || List.exists (fun o -> o = Ltlf.ff) obligations
   in
-  let seen = ref Kset.empty in
-  let states = ref 0 in
-  let memo_hits = ref 0 in
-  let queue = Queue.create () in
-  let visit key rev_trace =
-    if Kset.mem key !seen then incr memo_hits
-    else begin
-      Limits.spend budget;
-      check_size (snd key);
-      seen := Kset.add key !seen;
-      incr states;
-      if accepting key then raise (Found (List.rev rev_trace));
-      if not (dead key) then Queue.add (key, rev_trace) queue
-    end
-  in
+  let counts = Explore.counts () in
   let result =
     try
-      visit (Nfa.initial_config impl, List.map Progression.normalize formulas) [];
-      while not (Queue.is_empty queue) do
-        let (config, obligations), rev_trace = Queue.take queue in
-        List.iter
-          (fun e ->
-            let config' = Nfa.step impl config e in
-            if not (States.Set.is_empty config') then begin
-              let obligations' =
-                List.map
-                  (fun o -> Progression.normalize (Progression.progress o e))
-                  obligations
-              in
-              visit (config', obligations') (e :: rev_trace)
-            end)
-          events
-      done;
-      Ok None
-    with
-    | Found tr -> Ok (Some tr)
-    | Limits.Budget_exceeded { resource; limit } ->
+      Ok
+        (Product.shortest ~fuel:budget ~counts
+           ~arrive:(fun ((_, obligations) as key) ->
+             check_size obligations;
+             if accepting key then Explore.Found
+             else if dead key then Drop
+             else Keep)
+           ~start:(Nfa.initial_config impl, List.map Progression.normalize formulas)
+           ~succ:(fun (config, obligations) emit ->
+             List.iter
+               (fun e ->
+                 let config' = Nfa.step impl config e in
+                 if not (States.Set.is_empty config') then
+                   emit e
+                     ( config',
+                       List.map
+                         (fun o -> Progression.normalize (Progression.progress o e))
+                         obligations ))
+               events)
+           ())
+    with Limits.Budget_exceeded { resource; limit } ->
       Obs.count "entail.budget_exhausted" 1;
       Error { resource; limit }
   in
-  Obs.count "entail.states" !states;
-  Obs.count "entail.memo_hits" !memo_hits;
+  Obs.count "entail.states" counts.states;
+  Obs.count "entail.memo_hits" counts.revisits;
   result
 
 let implies ?limits ?fuel ?alphabet ~impl ~hyps goal =

@@ -65,16 +65,12 @@ let rec progress (f : Ltlf.t) e : Ltlf.t =
 
 let accepts_empty f = Ltlf.holds f []
 
-module Fmap = Map.Make (struct
-  type t = Ltlf.t
-
-  let compare = Ltlf.compare
-end)
+module Obligations = Explore.Make (Ltlf)
 
 let explore ?(limits = Limits.default) ~alphabet f =
   Obs.with_span "progression" @@ fun () ->
   let start = normalize f in
-  let budget =
+  let fuel =
     Limits.fuel ~within:limits ~resource:"progression obligations" limits.Limits.max_states
   in
   (* The node cap scales with the state cap, so --max-states governs both:
@@ -84,58 +80,24 @@ let explore ?(limits = Limits.default) ~alphabet f =
     if limits.Limits.max_states > max_int / s then max_int else limits.Limits.max_states * s
   in
   let nodes = ref 0 in
-  let index = ref Fmap.empty in
-  let order = ref [] in
-  let count = ref 0 in
-  let queue = Queue.create () in
-  let intern g =
-    match Fmap.find_opt g !index with
-    | Some i -> i
-    | None ->
-      Limits.spend budget;
-      nodes := !nodes + Ltlf.size g;
-      Limits.check ~resource:"progression obligation nodes" ~limit:node_cap !nodes;
-      let i = !count in
-      incr count;
-      index := Fmap.add g i !index;
-      order := g :: !order;
-      Queue.add g queue;
-      i
+  let g =
+    Obligations.reach ~fuel
+      ~arrive:(fun o ->
+        nodes := !nodes + Ltlf.size o;
+        Limits.check ~resource:"progression obligation nodes" ~limit:node_cap !nodes)
+      ~start
+      ~succ:(fun o emit -> List.iter (fun e -> emit e (normalize (progress o e))) alphabet)
+      ()
   in
-  let start_id = intern start in
-  let edges = Hashtbl.create 64 in
-  let rec loop () =
-    match Queue.take_opt queue with
-    | None -> ()
-    | Some g ->
-      let src = Fmap.find g !index in
-      List.iter
-        (fun e ->
-          let dst = intern (normalize (progress g e)) in
-          Hashtbl.replace edges (src, e) dst)
-        alphabet;
-      loop ()
-  in
-  loop ();
-  Obs.count "progression.obligations" !count;
-  (start_id, Array.of_list (List.rev !order), edges, !count)
+  Obs.count "progression.obligations" (Array.length g.states);
+  g
 
 let to_dfa ?limits ~alphabet f =
   let alphabet = List.sort_uniq Symbol.compare alphabet in
-  let start_id, states, edges, count = explore ?limits ~alphabet f in
-  Dfa.create ~alphabet ~num_states:count ~start:start_id
-    ~accept:
-      (List.filter (fun i -> accepts_empty states.(i)) (List.init count Fun.id))
-    ~next:(fun q sym ->
-      match Hashtbl.find_opt edges (q, sym) with
-      | Some q' -> q'
-      | None ->
-        invalid_arg
-          (Printf.sprintf
-             "Progression.to_dfa: no transition from state %d on symbol '%s' (symbol \
-              outside the DFA alphabet?)"
-             q (Symbol.name sym)))
+  let g = explore ?limits ~alphabet f in
+  Dfa.of_edges ~alphabet ~num_states:(Array.length g.states) ~start:0
+    ~accept:(Obligations.select g accepts_empty)
+    g.edges
 
 let num_reachable_obligations ~alphabet f =
-  let _, _, _, count = explore ~alphabet:(List.sort_uniq Symbol.compare alphabet) f in
-  count
+  Array.length (explore ~alphabet:(List.sort_uniq Symbol.compare alphabet) f).states

@@ -83,58 +83,35 @@ let accepting obligations = Fset.for_all (fun f -> Ltlf.holds f []) obligations
 (* NFA states are obligation sets; the alpha/beta expansion lives inside the
    transition function: consuming [event] from [obligations] first
    decomposes them into elementary sets, keeps the ones whose literals agree
-   with [event], and carries each one's next-obligations as a successor. *)
-let successors obligations event =
-  expand (Fset.elements obligations)
-  |> List.filter (fun elem -> literals_allow elem event)
-  |> List.map (fun elem -> Fset.of_list (next_obligations elem))
-  |> List.sort_uniq Fset.compare
+   with [event], and carries each one's next-obligations as a successor.
+   The decomposition does not depend on the event, so it runs once per
+   state. *)
+let successors obligations =
+  let elems = expand (Fset.elements obligations) in
+  fun event ->
+    elems
+    |> List.filter (fun elem -> literals_allow elem event)
+    |> List.map (fun elem -> Fset.of_list (next_obligations elem))
+    |> List.sort_uniq Fset.compare
+
+module Obligation_sets = Explore.Make (Fset)
 
 let to_nfa ?(limits = Limits.default) ~alphabet f =
   Obs.with_span "tableau" @@ fun () ->
-  let budget =
-    Limits.fuel ~within:limits ~resource:"tableau states" limits.Limits.max_states
-  in
+  let fuel = Limits.fuel ~within:limits ~resource:"tableau states" limits.Limits.max_states in
   let alphabet = List.sort_uniq Symbol.compare alphabet in
-  let index = Hashtbl.create 64 in
-  let order = ref [] in
-  let count = ref 0 in
-  let queue = Queue.create () in
-  let intern obligations =
-    let key = Fset.elements obligations in
-    match Hashtbl.find_opt index key with
-    | Some i -> i
-    | None ->
-      let i = !count in
-      Limits.spend budget;
-      incr count;
-      Hashtbl.add index key i;
-      order := obligations :: !order;
-      Queue.add obligations queue;
-      i
+  let g =
+    Obligation_sets.reach ~fuel
+      ~start:(Fset.singleton (Nnf.nnf f))
+      ~succ:(fun obligations emit ->
+        let successors = successors obligations in
+        List.iter (fun event -> List.iter (emit event) (successors event)) alphabet)
+      ()
   in
-  let start = [ intern (Fset.singleton (Nnf.nnf f)) ] in
-  let transitions = ref [] in
-  let rec explore () =
-    match Queue.take_opt queue with
-    | None -> ()
-    | Some obligations ->
-      let src = Hashtbl.find index (Fset.elements obligations) in
-      List.iter
-        (fun event ->
-          List.iter
-            (fun succ -> transitions := (src, event, intern succ) :: !transitions)
-            (successors obligations event))
-        alphabet;
-      explore ()
-  in
-  explore ();
-  Obs.count "tableau.states" !count;
-  let states = Array.of_list (List.rev !order) in
-  let accept =
-    List.filter (fun i -> accepting states.(i)) (List.init !count Fun.id)
-  in
-  Nfa.create ~num_states:(max 1 !count) ~start ~accept ~transitions:!transitions ()
+  let count = Array.length g.states in
+  Obs.count "tableau.states" count;
+  Nfa.create ~num_states:count ~start:[ 0 ] ~accept:(Obligation_sets.select g accepting)
+    ~transitions:g.edges ()
 
 let check ?limits ?(alphabet = Symbol.Set.empty) ~impl formula =
   Obs.with_span "ltl.check" @@ fun () ->

@@ -1,7 +1,8 @@
 (* Brute-force interleaving oracle. Everything here is deliberately naive
-   and structural — no derivatives, no automata — so the fast paths
-   (Deriv.deriv on Shuffle, Shuffle_nfa.on_the_fly, Glushkov dispatch) have
-   an independent implementation to be differentially tested against. *)
+   and structural — no derivatives, no automata, no state exploration — so
+   the fast paths (Deriv.deriv on Shuffle, the explored shuffle product
+   Shuffle_nfa.on_the_fly, Glushkov dispatch) have an independent
+   implementation to be differentially tested against. *)
 
 let rec pairs u v =
   match u, v with

@@ -157,6 +157,31 @@ let prop_sampling_sound =
       | None -> Deriv.is_empty_language r
       | Some w -> Deriv.matches r w)
 
+(* --- One witness across the engines -------------------------------------------------------- *)
+
+(* Every engine explores breadth-first and emits symbols in ascending order,
+   so each returns the shortlex-least trace of L(r1) \ L(r2): derivatives,
+   the lazy product of Glushkov NFAs, and the eager DFA difference agree
+   trace for trace, not merely on the verdict. *)
+let prop_inclusion_witness_agrees =
+  qtest_arb "inclusion witness identical across engines" ~count:300
+    (QCheck.pair
+       (regex_arb_over (List.map Symbol.intern [ "a"; "b"; "c" ]))
+       (regex_arb_over (List.map Symbol.intern [ "a"; "b"; "c" ])))
+    (fun (r1, r2) ->
+      let derivatives = Equiv.inclusion_counterexample r1 r2 in
+      let n1 = Glushkov.of_regex r1 and n2 = Glushkov.of_regex r2 in
+      let product = Language.inclusion_counterexample ~impl:n1 ~spec:n2 () in
+      let alphabet =
+        Symbol.Set.elements (Symbol.Set.union (Nfa.alphabet n1) (Nfa.alphabet n2))
+      in
+      let dfa =
+        Dfa.counterexample_inclusion
+          (Determinize.determinize ~alphabet n1)
+          (Determinize.determinize ~alphabet n2)
+      in
+      derivatives = product && product = dfa)
+
 (* --- LTLf dualities ------------------------------------------------------------------------ *)
 
 let ltl_alphabet = Prog_gen.default_alphabet
@@ -259,6 +284,7 @@ let () =
         ] );
       ( "minimize", [ prop_minimal_dfa_canonical; prop_minimize_smallest ] );
       ( "sample", [ prop_sampling_sound ] );
+      ( "witness", [ prop_inclusion_witness_agrees ] );
       ( "ltl",
         [
           prop_g_f_duality;
